@@ -182,14 +182,11 @@ class Shell:
         report = self.session.lint(pipe_name)
         if not report.analyzed_keys and not report.reused_keys:
             # No pipes instantiated yet: analyze the top design
-            # one-shot (uncached) instead of reporting nothing.
+            # instead of reporting nothing.
             from .hdl.elaborate import elaborate
-            from .hdl.parser import parse
 
-            netlist = elaborate(
-                parse(self.session.compiler.source), self.top
-            )
-            report = self.session.analyzer.analyze_netlist(netlist)
+            compiler = self.session.compiler
+            report = compiler.analyze(elaborate(compiler.design, self.top))
         if not report.diagnostics:
             self._print("lint clean")
         for diag in report.diagnostics:

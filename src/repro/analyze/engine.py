@@ -52,10 +52,6 @@ class AnalysisReport:
     def errors(self) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.is_error]
 
-    @property
-    def was_incremental(self) -> bool:
-        return bool(self.reused_keys)
-
     def findings(self, severity: Optional[str] = None) -> List[Diagnostic]:
         if severity is None:
             return list(self.diagnostics)
@@ -72,23 +68,20 @@ def comb_signature(ir: ModuleIR) -> str:
 
 
 class Analyzer:
-    """Owns the check set and the per-specialization result cache."""
+    """Owns the check set and the per-specialization findings cache.
+
+    It keeps no value facts: the compile pipeline's ``AnalyzePass``
+    hands it the facts ``ValueFactsPass`` cached for the same run.
+    """
 
     def __init__(self, checks: Optional[Sequence[Check]] = None):
         self._checks: List[Check] = list(
             checks if checks is not None else default_checks()
         )
         self._cache: Dict[AnalysisKey, Tuple[Diagnostic, ...]] = {}
-        # Dataflow value-facts cache (repro.passes.dataflow), shared
-        # across analyze runs under the same fingerprint discipline.
-        self._facts_cache: Dict = {}
         self._check_set = ",".join(
             sorted(type(c).__name__ for c in self._checks)
         )
-
-    @property
-    def checks(self) -> List[Check]:
-        return list(self._checks)
 
     def cache_size(self) -> int:
         return len(self._cache)
@@ -107,14 +100,18 @@ class Analyzer:
         for one-shot CLI runs over a file.
 
         ``value_facts`` (key -> ``ModuleValueFacts``) feeds the
-        proof-backed checks; when omitted, the analyzer computes them
-        itself through its own fingerprint-keyed facts cache.
+        proof-backed checks; the compile pipeline passes its cached
+        ones.  When omitted they are computed fresh, uncached.
         """
         started = time.perf_counter()
         report = AnalysisReport(top=netlist.top)
         with obs.span("analyze", top=netlist.top):
             if value_facts is None:
-                value_facts = self._compute_facts(netlist, fingerprint_of)
+                # Function-level import: repro.passes imports this
+                # module (AnalyzePass).
+                from ..passes.dataflow import compute_netlist_facts
+
+                value_facts = compute_netlist_facts(netlist)
             ctx = CheckContext(netlist, value_facts)
             signatures = {
                 key: comb_signature(ir)
@@ -132,30 +129,6 @@ class Analyzer:
         obs.gauge("analyze.cache_size", len(self._cache))
         obs.gauge("analyze.findings", len(report.diagnostics))
         return report
-
-    def _compute_facts(
-        self,
-        netlist: Netlist,
-        fingerprint_of: Optional[Callable[[str], str]],
-    ):
-        # Function-level import: repro.passes imports repro.analyze
-        # (AnalyzePass), so this package must not import it at module
-        # load time.
-        from ..passes.dataflow import compute_netlist_facts
-
-        fps: Dict[str, str] = {}
-        if fingerprint_of is not None:
-            fps = {
-                netlist.modules[key].name: fingerprint_of(
-                    netlist.modules[key].name
-                )
-                for key in netlist.modules
-            }
-        return compute_netlist_facts(
-            netlist,
-            fps=fps,
-            cache=self._facts_cache if fingerprint_of is not None else None,
-        )
 
     def _analyze_module(
         self,

@@ -90,8 +90,11 @@ class PassPipeline:
     def order(self) -> List[str]:
         return [p.name for p in self.passes]
 
-    def run(self, data: PassData) -> PassData:
-        for p in self.passes:
+    def run(self, data: PassData, until: Optional[str] = None) -> PassData:
+        """Run every pass, or with ``until`` only the passes that fact
+        transitively requires (``until="analyze.report"`` stops short
+        of the optimizer and codegen)."""
+        for p in self.passes if until is None else self._required(until):
             started = time.perf_counter()
             with obs.span(f"passes.{p.name}", opt=data.opt):
                 p.run(data)
@@ -106,6 +109,19 @@ class PassPipeline:
                     f"facts {missing}"
                 )
         return data
+
+    def _required(self, fact: str) -> List[Pass]:
+        producers = {f: p for p in self.passes for f in p.produces}
+        if fact not in producers:
+            raise PipelineError(f"no pass in the pipeline produces {fact!r}")
+        needed: set = set()
+        pending = [fact]
+        while pending:
+            p = producers[pending.pop()]
+            if p not in needed:
+                needed.add(p)
+                pending.extend(p.requires)
+        return [p for p in self.passes if p in needed]
 
 
 class PassManager:

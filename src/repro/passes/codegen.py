@@ -65,9 +65,7 @@ class SanitizePlanPass(Pass):
                 elide: Dict[str, ElisionPlan] = {}
                 const_init: Dict[str, dict] = {}
                 for key, ir in data.netlist.modules.items():
-                    mod_facts = facts.get(key)
-                    if mod_facts is None:
-                        continue
+                    mod_facts = facts[key]
                     cache_key = (key, data.fingerprint(ir.name),
                                  mod_facts.digest)
                     cached = self._cache.get(cache_key)
@@ -136,12 +134,12 @@ class CodegenPass(Pass):
             # sanitizer elision); cross-module fact flow means a parent
             # edit can change a child's facts without touching the
             # child's own fingerprint, so the digest must join the key.
-            # Empty when dataflow is gated off (opt=none, no sanitize)
-            # to keep the legacy key shape.
-            mod_facts = value_facts.get(key)
-            if mod_facts is None:
+            # Empty when no codegen consumer is active (opt=none, no
+            # sanitize) — analysis alone does not change the code — to
+            # keep the legacy key shape.
+            if opt == "none" and not sanitize:
                 return ""
-            fp = mod_facts.digest
+            fp = value_facts[key].digest
             if key in elide_plans:
                 fp += "+e"
             return fp

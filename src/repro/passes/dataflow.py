@@ -1333,12 +1333,13 @@ def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
 class ValueFactsPass(Pass):
     """Computes ``dataflow.facts``: key -> :class:`ModuleValueFacts`.
 
-    Skipped entirely (empty fact dict) when nothing downstream
-    consumes it — plain ``opt=none`` unsanitized compiles pay zero
-    analysis cost.  Per-module results cache on the pass instance so
-    hot reloads recompute only dirty modules; cross-module input
-    digests keep a parent's edit from invalidating an unaffected
-    child and vice versa.
+    The one value-facts cache: ``AnalyzePass`` reads these facts on
+    every compile, the optimizer and the sanitizer planner when their
+    level or mode is on.  (A plain ``opt=none`` ``compile_design``
+    bypasses the pipeline, so it does no facts work.)  Per-module
+    results cache on the pass instance so hot reloads recompute only
+    dirty modules; cross-module input digests keep a parent's edit
+    from invalidating an unaffected child and vice versa.
     """
 
     name = "dataflow"
@@ -1349,9 +1350,6 @@ class ValueFactsPass(Pass):
         self._cache: Dict[tuple, ModuleValueFacts] = {}
 
     def run(self, data: PassData) -> None:
-        if data.opt == "none" and not data.sanitize:
-            data.facts["dataflow.facts"] = {}
-            return
         data.facts["dataflow.facts"] = compute_netlist_facts(
             data.netlist,
             fps=data.fps,

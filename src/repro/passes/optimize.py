@@ -106,16 +106,14 @@ class ConstPropPass(Pass):
         if data.opt != "none":
             value_facts = data.facts["dataflow.facts"]
             for key, ir in data.netlist.modules.items():
-                mod_facts = value_facts.get(key)
-                digest = mod_facts.digest if mod_facts is not None else ""
-                cache_key = (key, data.fingerprint(ir.name), digest)
+                mod_facts = value_facts[key]
+                cache_key = (key, data.fingerprint(ir.name),
+                             mod_facts.digest)
                 cached = self._cache.get(cache_key)
                 if cached is not None:
                     data.note_reused(self.name, key)
                 else:
-                    stable = mod_facts.stable if mod_facts is not None \
-                        else None
-                    cached = self._find_consts(ir, stable)
+                    cached = self._find_consts(ir, mod_facts.stable)
                     self._cache[cache_key] = cached
                     data.note_computed(self.name, key)
                 out[key] = cached

@@ -198,7 +198,7 @@ class TestCIWorkflow:
             doc = yaml.safe_load(fh)
         assert set(doc["jobs"]) == {
             "lint", "test", "bench-smoke", "server-smoke",
-            "analyze-examples", "load-smoke",
+            "analyze-examples", "load-smoke", "perfbench-smoke",
         }
         matrix = doc["jobs"]["test"]["strategy"]["matrix"]
         assert matrix["python-version"] == ["3.10", "3.11", "3.12"]
