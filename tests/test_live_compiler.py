@@ -200,6 +200,24 @@ class TestTimingFields:
         assert report.codegen_seconds > 0
         assert report.total_seconds >= report.codegen_seconds
 
+    @pytest.mark.parametrize("opt,sanitize,facts_are_analysis", [
+        ("none", False, True),
+        ("full", False, False),
+        ("none", True, False),
+    ])
+    def test_analysis_time_stays_out_of_codegen(
+        self, opt, sanitize, facts_are_analysis
+    ):
+        # At opt=none without sanitize only analysis reads the dataflow
+        # facts, so that pass counts as analysis, not compile, time.
+        compiler = LiveCompiler(COUNTER_SRC, opt=opt, sanitize=sanitize)
+        report = compiler.compile_top("top").report
+        seconds = report.pass_seconds
+        expected = seconds["analyze"]
+        if facts_are_analysis:
+            expected += seconds["dataflow"]
+        assert report.analyze_seconds == pytest.approx(expected)
+
     def test_incremental_flag(self):
         compiler = LiveCompiler(COUNTER_SRC)
         assert not compiler.compile_top("top").report.was_incremental
