@@ -59,17 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "report; new or missing findings exit 2",
     )
     parser.add_argument(
-        "--opt", choices=("none", "basic", "full"), default="none",
-        help="accepted for compatibility and recorded as the "
-             "report's meta.opt; it changes nothing, because analysis "
-             "always sees the pre-optimization netlist",
-    )
-    parser.add_argument(
         "--explain", action="store_true",
         help="append each proof-backed finding's value derivation "
              "chain (one indented line per contributing fact); the "
-             "chain's line numbers are pre-optimization source lines "
-             "at every --opt level, same as the findings themselves",
+             "chain's line numbers are pre-optimization source lines, "
+             "same as the findings themselves",
     )
     parser.add_argument(
         "--fail-on-error", action="store_true",
@@ -154,7 +148,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = build_report(entries, meta={
         "tool": "python -m repro.analyze",
         "designs_analyzed": len(entries),
-        "opt": args.opt,
     })
     print(f"total: {total['error']} error(s), {total['warning']} "
           f"warning(s), {total['info']} info")

@@ -4,11 +4,17 @@ The lexer works on preprocessed text (see ``repro.hdl.preprocessor``).
 Comments are skipped but counted, so LiveParser can tell comment-only
 edits apart from behavioural ones by comparing token streams rather
 than raw text.
+
+One compiled master regex classifies each lexeme; the Python loop only
+tracks line/column and builds tokens.  Only ASCII ``[0-9]`` are digits,
+so a non-ASCII digit is an unexpected character, not a number.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import hashlib
+import re
+from typing import Iterable, List
 
 from .errors import LexError
 from .tokens import (
@@ -28,181 +34,140 @@ from .tokens import (
     Token,
 )
 
-_BASE_DIGITS = {
-    "h": "0123456789abcdefABCDEF",
-    "d": "0123456789",
-    "b": "01",
-    "o": "01234567",
+# Base letter -> radix and a sized literal's body (digits and '_').
+_BASES = {
+    "h": (16, re.compile(r"[0-9a-fA-F_]*")),
+    "d": (10, re.compile(r"[0-9_]*")),
+    "b": (2, re.compile(r"[01_]*")),
+    "o": (8, re.compile(r"[0-7_]*")),
 }
-_BASE_RADIX = {"h": 16, "d": 10, "b": 2, "o": 8}
 
 
-class Lexer:
-    """Streaming tokenizer over a single source string."""
+def _char_class(chars) -> str:
+    return "[" + "".join(re.escape(ch) for ch in sorted(chars)) + "]"
 
-    def __init__(self, text: str, start_line: int = 1):
-        self._text = text
-        self._pos = 0
-        self._line = start_line
-        self._col = 1
 
-    def _peek(self, ahead: int = 0) -> str:
-        i = self._pos + ahead
-        return self._text[i] if i < len(self._text) else ""
+# Alternatives are tried in order at each position: comments before the
+# '/' operator, a digit run that ends in "'" (sized literal) before a
+# plain number, multi-character operators longest first.  Identifier
+# starts are ``[^\W\d]`` (word characters that are not decimal digits);
+# the few of those that are not letters are rejected in the loop.
+_MASTER = re.compile(
+    "|".join((
+        r"(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)",
+        r"(?P<open_comment>/\*)",
+        r"(?P<ident>[^\W\d][\w$]*)",
+        r"(?P<number>[0-9][0-9_]*'?|')",
+        r"(?P<syscall>\$\w*)",
+        r"(?P<macro>`\w*)",
+        "(?P<op>" + "|".join(re.escape(op) for op in MULTI_CHAR_OPS)
+        + "|" + _char_class(SINGLE_CHAR_OPS) + ")",
+        "(?P<punct>" + _char_class(PUNCTUATION) + ")",
+        r"(?P<bad>.)",
+    )),
+    re.DOTALL,
+)
 
-    def _advance(self, count: int = 1) -> str:
-        chunk = self._text[self._pos : self._pos + count]
-        for ch in chunk:
-            if ch == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-        self._pos += count
-        return chunk
 
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < len(self._text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self._line, self._col
-                self._advance(2)
-                while self._pos < len(self._text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start_line, start_col)
-            else:
-                return
-
-    def _lex_number(self) -> Token:
-        line, col = self._line, self._col
-        digits = ""
-        while self._peek().isdigit() or self._peek() == "_":
-            digits += self._advance()
-        digits = digits.replace("_", "")
-        if self._peek() == "'":
-            self._advance()
-            base_ch = self._advance().lower()
-            if base_ch not in _BASE_DIGITS:
-                raise LexError(f"unknown number base {base_ch!r}", line, col)
-            allowed = _BASE_DIGITS[base_ch]
-            body = ""
-            while True:
-                ch = self._peek()
-                # NB: guard against "" (EOF) — '"" in allowed' is True.
-                if not ch or (ch not in allowed and ch != "_"):
-                    break
-                body += self._advance()
-            body = body.replace("_", "")
-            if not body:
-                raise LexError("sized literal with no digits", line, col)
-            width = int(digits) if digits else 32
-            value = int(body, _BASE_RADIX[base_ch])
-            if width <= 0:
-                raise LexError("sized literal must have positive width", line, col)
-            value &= (1 << width) - 1
-            return Token(
-                SIZED_NUMBER, f"{width}'{base_ch}{body}", line, col,
-                num_value=value, num_width=width,
-            )
-        if not digits:
-            raise LexError("malformed number", line, col)
-        return Token(NUMBER, digits, line, col, num_value=int(digits))
-
-    def _lex_ident(self) -> Token:
-        line, col = self._line, self._col
-        name = ""
-        while self._peek().isalnum() or self._peek() in ("_", "$"):
-            name += self._advance()
-        kind = KEYWORD if name in KEYWORDS else IDENT
-        return Token(kind, name, line, col)
-
-    def _lex_syscall(self) -> Token:
-        line, col = self._line, self._col
-        name = self._advance()  # the '$'
-        while self._peek().isalnum() or self._peek() == "_":
-            name += self._advance()
-        if len(name) == 1:
-            raise LexError("bare '$' is not a valid token", line, col)
-        return Token(SYSCALL, name, line, col)
-
-    def next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        if self._pos >= len(self._text):
-            return Token(EOF, "", self._line, self._col)
-        ch = self._peek()
-        if ch.isdigit():
-            return self._lex_number()
-        if ch == "'":
-            # Unsized based literal like 'b0 (width defaults to 32).
-            return self._lex_number()
-        if ch.isalpha() or ch == "_":
-            return self._lex_ident()
-        if ch == "$":
-            return self._lex_syscall()
-        if ch == "`":
-            # Raw (un-preprocessed) text: keep the macro reference as a
-            # token so LiveParser can fingerprint module regions before
-            # preprocessing.  Preprocessed text never contains these.
-            line, col = self._line, self._col
-            name = self._advance()
-            while self._peek().isalnum() or self._peek() == "_":
-                name += self._advance()
-            return Token(MACRO, name, line, col)
-        line, col = self._line, self._col
-        for op in MULTI_CHAR_OPS:
-            if self._text.startswith(op, self._pos):
-                self._advance(len(op))
-                return Token(OP, op, line, col)
-        if ch in SINGLE_CHAR_OPS:
-            self._advance()
-            return Token(OP, ch, line, col)
-        if ch in PUNCTUATION:
-            self._advance()
-            return Token(PUNCT, ch, line, col)
-        raise LexError(f"unexpected character {ch!r}", line, col)
-
-    def tokens(self) -> Iterator[Token]:
-        while True:
-            tok = self.next_token()
-            yield tok
-            if tok.kind == EOF:
-                return
+def _sized_number(text: str, pos: int, quote: int, line: int, col: int):
+    """Lex the sized literal whose ``'`` is at ``quote``; returns the
+    token and the position after it."""
+    digits = text[pos:quote].replace("_", "")
+    base_ch = text[quote + 1 : quote + 2].lower()
+    if base_ch not in _BASES:
+        raise LexError(f"unknown number base {base_ch!r}", line, col)
+    radix, body_re = _BASES[base_ch]
+    body_match = body_re.match(text, quote + 2)
+    body = body_match.group().replace("_", "")
+    if not body:
+        raise LexError("sized literal with no digits", line, col)
+    width = int(digits) if digits else 32
+    if width <= 0:
+        raise LexError("sized literal must have positive width", line, col)
+    value = int(body, radix) & ((1 << width) - 1)
+    token = Token(
+        SIZED_NUMBER, f"{width}'{base_ch}{body}", line, col, value, width
+    )
+    return token, body_match.end()
 
 
 def tokenize(text: str, start_line: int = 1) -> List[Token]:
-    """Tokenize ``text`` fully, returning the EOF token as the last item."""
-    return list(Lexer(text, start_line=start_line).tokens())
+    """Tokenize ``text`` fully, returning the EOF token as the last item.
+
+    Lines are numbered from ``start_line``, so a region cut out of a
+    file lexes with file line numbers.
+    """
+    tokens: List[Token] = []
+    append = tokens.append
+    match = _MASTER.match
+    line = start_line
+    line_start = 0  # index of the first character of ``line``
+    pos = 0
+    end = len(text)
+    while pos < end:
+        m = match(text, pos)
+        kind = m.lastgroup
+        value = m.group()
+        if kind == "skip":
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + value.rindex("\n") + 1
+            pos = m.end()
+            continue
+        col = pos - line_start + 1
+        if kind == "ident":
+            first = value[0]
+            if not (first.isalpha() or first == "_"):
+                raise LexError(f"unexpected character {first!r}", line, col)
+            append(Token(
+                KEYWORD if value in KEYWORDS else IDENT, value, line, col
+            ))
+        elif kind == "punct":
+            append(Token(PUNCT, value, line, col))
+        elif kind == "op":
+            append(Token(OP, value, line, col))
+        elif kind == "number":
+            if value[-1] == "'":
+                token, pos = _sized_number(
+                    text, pos, m.end() - 1, line, col
+                )
+                append(token)
+                continue
+            digits = value.replace("_", "")
+            append(Token(NUMBER, digits, line, col, int(digits)))
+        elif kind == "syscall":
+            if len(value) == 1:
+                raise LexError("bare '$' is not a valid token", line, col)
+            append(Token(SYSCALL, value, line, col))
+        elif kind == "macro":
+            # Raw (un-preprocessed) text: keep the macro reference as a
+            # token so LiveParser can fingerprint module regions before
+            # preprocessing.  Preprocessed text never contains these.
+            append(Token(MACRO, value, line, col))
+        elif kind == "open_comment":
+            raise LexError("unterminated block comment", line, col)
+        else:
+            raise LexError(f"unexpected character {value!r}", line, col)
+        pos = m.end()
+    append(Token(EOF, "", line, end - line_start + 1))
+    return tokens
 
 
-def behavioral_fingerprint(text: str) -> str:
-    """Hash of the token stream, insensitive to comments and whitespace.
+def behavioral_fingerprint(tokens: Iterable[Token]) -> str:
+    """Hash of a token stream, insensitive to comments and whitespace.
 
     LiveParser uses this to decide whether an edit changed behaviour
     (paper §III-C: "confirm that actual behavior was changed, not just
-    comments or spacing").
+    comments or spacing").  Numbers hash by value and width, so
+    ``8'hFF`` and ``8'd255`` are the same behaviour.
     """
-    import hashlib
-
-    digest = hashlib.sha256()
-    for tok in Lexer(text).tokens():
+    parts = []
+    for tok in tokens:
         if tok.kind == EOF:
             break
-        digest.update(tok.kind.encode())
-        digest.update(b"\x00")
         if tok.num_value is not None:
-            digest.update(str(tok.num_value).encode())
-            digest.update(b"/")
-            digest.update(str(tok.num_width).encode())
+            parts.append(f"{tok.kind}\x00{tok.num_value}/{tok.num_width}\x01")
         else:
-            digest.update(tok.value.encode())
-        digest.update(b"\x01")
-    return digest.hexdigest()
+            parts.append(f"{tok.kind}\x00{tok.value}\x01")
+    return hashlib.sha256("".join(parts).encode()).hexdigest()

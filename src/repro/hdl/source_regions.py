@@ -85,7 +85,11 @@ def split_regions(source: str) -> List[SourceRegion]:
             start = i
             name = module.group(1)
             while i < len(lines):
-                if _ENDMODULE_RE.search(_strip_line_comment(lines[i])):
+                line = lines[i]
+                # The substring test skips the regex on most lines.
+                if "endmodule" in line and _ENDMODULE_RE.search(
+                    _strip_line_comment(line)
+                ):
                     break
                 i += 1
             end = min(i, len(lines) - 1)

@@ -8,8 +8,7 @@ regions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # Token kinds.
 KEYWORD = "KEYWORD"
@@ -69,9 +68,8 @@ SINGLE_CHAR_OPS = frozenset("+-*/%&|^~!<>?")
 PUNCTUATION = frozenset("()[]{}:;,.#=@")
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token.
+class Token(NamedTuple):
+    """A single lexical token (an immutable, hashable tuple).
 
     ``value`` is the raw text for identifiers/operators; for sized
     numbers it is the canonical ``(width, value)`` pair encoded by the

@@ -23,10 +23,10 @@ from .. import obs
 from ..analyze.engine import AnalysisReport, Analyzer
 from ..codegen.optplan import OPT_LEVELS
 from ..codegen.pygen import CompiledModule
-from ..hdl.ast_nodes import shift_lines
 from ..hdl.elaborate import elaborate
 from ..hdl.errors import HDLError
-from ..hdl.parser import parse
+from ..hdl.parser import Parser, parse
+from ..hdl.source_regions import MODULE_REGION
 from ..ir.netlist import Netlist
 from ..passes import AnalyzePass, PassData, build_compile_pipeline
 from .parser_live import LiveParseResult, LiveParser
@@ -187,11 +187,12 @@ class LiveCompiler:
     def update_source(self, new_source: str) -> LiveParseResult:
         """Analyze and commit an edit.
 
-        Changed module regions are re-parsed individually when it is
-        safe to do so (no macro usage in the changed regions and no
-        directive change); otherwise the whole file is re-parsed.
-        Raises :class:`HDLError` on syntax errors, leaving the previous
-        good source in place.
+        Changed module regions are parsed individually, from the tokens
+        LiveParser lexed for them, when it is safe to do so (no macro
+        usage in the changed regions, no directive change and no removed
+        module); otherwise the whole file is re-parsed.  Raises
+        :class:`HDLError` on syntax errors, leaving the previous good
+        source and design in place.
         """
         started = time.perf_counter()
         with obs.span("parse"):
@@ -201,50 +202,44 @@ class LiveCompiler:
         self, new_source: str, started: float
     ) -> LiveParseResult:
         result = self.parser.analyze(new_source)
-        if not result.behavioral:
-            # Comments/whitespace only: commit the text, keep everything.
-            self.parser.commit(new_source)
-            self._last_parse_seconds = time.perf_counter() - started
-            result.parse_seconds = self._last_parse_seconds
-            return result
-
-        regions = self._module_regions(new_source)
-        incremental_ok = (
-            not result.directive_changed
-            and not result.removed_modules
-            and all(
-                name in regions and "`" not in regions[name].text
-                for name in result.changed_modules | result.added_modules
+        if result.behavioral:
+            edited = result.changed_modules | result.added_modules
+            texts = {
+                region.name: region.text
+                for region in result.regions
+                if region.kind == MODULE_REGION
+            }
+            # Any backtick (even in a comment) is preprocessor business.
+            incremental_ok = (
+                not result.directive_changed
+                and not result.removed_modules
+                and all(
+                    name in result.tokens and "`" not in texts[name]
+                    for name in edited
+                )
             )
-        )
-        if incremental_ok:
-            for name in result.changed_modules | result.added_modules:
-                region = regions[name]
-                sub_design = parse(region.text)
-                if name not in sub_design.modules:
-                    raise HDLError(
-                        f"edited region no longer defines module {name!r}"
-                    )
-                module_ast = sub_design.modules[name]
-                # The standalone sub-parse numbered lines from 1; shift
-                # them back to file coordinates so diagnostics point at
-                # the user's actual source.
-                shift_lines(module_ast, region.start_line - 1)
-                self._design.modules[name] = module_ast
-        else:
-            design = parse(new_source)
-            self._design = design
-        for name in result.removed_modules:
-            self._design.modules.pop(name, None)
-        self.parser.commit(new_source)
+            if incremental_ok:
+                # Parse every edited region before touching the design,
+                # so a syntax error in one leaves all of it in place.
+                parsed = {}
+                for name in edited:
+                    sub_design = Parser(result.tokens[name]).parse_design()
+                    if name not in sub_design.modules:
+                        raise HDLError(
+                            f"edited region no longer defines module {name!r}"
+                        )
+                    parsed[name] = sub_design.modules[name]
+                self._design.modules.update(parsed)
+            else:
+                self._design = parse(new_source)
+            for name in result.removed_modules:
+                self._design.modules.pop(name, None)
+        # A comment/whitespace-only edit commits the text and keeps
+        # everything else.
+        self.parser.commit(new_source, result)
         self._last_parse_seconds = time.perf_counter() - started
         result.parse_seconds = self._last_parse_seconds
         return result
-
-    def _module_regions(self, new_source: str) -> dict:
-        from ..hdl.source_regions import module_regions
-
-        return module_regions(new_source)
 
     # -- compilation ---------------------------------------------------------------
 

@@ -7,10 +7,12 @@ codebase and sends only those to LiveCompiler."
 
 The decision procedure:
 
-1. Split old and new text into regions (modules / directives).
-2. A module region whose *token-stream fingerprint* changed is a
-   behavioural change in that module; comment/whitespace edits produce
-   identical fingerprints and are ignored.
+1. Split the new text into regions (modules / directives), once.
+2. Lex each module region whose text changed, once, at its file line.
+   A region whose *token-stream fingerprint* changed is a behavioural
+   change in that module; comment/whitespace edits produce identical
+   fingerprints and are ignored.  The token lists ride on the result,
+   so LiveCompiler parses them without lexing again.
 3. A changed/added/removed directive poisons every module whose region
    starts below the earliest affected directive line ("much more will
    have to be recompiled").
@@ -20,15 +22,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..hdl.lexer import behavioral_fingerprint
+from ..hdl.lexer import behavioral_fingerprint, tokenize
 from ..hdl.source_regions import (
     DIRECTIVE_REGION,
     MODULE_REGION,
     SourceRegion,
     split_regions,
 )
+from ..hdl.tokens import Token
 
 
 @dataclass
@@ -43,6 +46,13 @@ class LiveParseResult:
     directive_line: Optional[int] = None  # earliest affected directive
     poisoned_modules: Set[str] = field(default_factory=set)  # below directive
     parse_seconds: float = 0.0
+    # The analysed text, split once: what :meth:`LiveParser.commit`
+    # adopts.  ``fingerprints`` covers every module region; ``tokens``
+    # only the regions whose text changed (lexed at file lines).
+    source: str = ""
+    regions: List[SourceRegion] = field(default_factory=list)
+    fingerprints: Dict[str, str] = field(default_factory=dict)
+    tokens: Dict[str, List[Token]] = field(default_factory=dict)
 
     @property
     def modules_to_recompile(self) -> Set[str]:
@@ -53,12 +63,10 @@ class LiveParser:
     """Stateful incremental parser over one evolving source text."""
 
     def __init__(self, source: str):
-        self._source = source
-        self._regions = split_regions(source)
-        self._fingerprints = self._fingerprint_modules(self._regions)
-        self._region_texts = {
-            r.name: r.text for r in self._regions if r.kind == MODULE_REGION
-        }
+        self._fingerprints: Dict[str, str] = {}
+        self._region_texts: Dict[str, str] = {}
+        regions, fingerprints, _ = self._scan(source)
+        self._adopt(source, regions, fingerprints)
 
     @property
     def source(self) -> str:
@@ -68,13 +76,39 @@ class LiveParser:
     def regions(self) -> List[SourceRegion]:
         return list(self._regions)
 
-    @staticmethod
-    def _fingerprint_modules(regions: List[SourceRegion]) -> Dict[str, str]:
-        fps: Dict[str, str] = {}
+    def _scan(
+        self, source: str
+    ) -> Tuple[List[SourceRegion], Dict[str, str], Dict[str, List[Token]]]:
+        """Split ``source`` into regions and fingerprint every module
+        region.  A region whose text equals the committed one keeps its
+        fingerprint; the others are lexed once, at their file line, and
+        their tokens returned for the parser."""
+        regions = split_regions(source)
+        fingerprints: Dict[str, str] = {}
+        tokens: Dict[str, List[Token]] = {}
         for region in regions:
-            if region.kind == MODULE_REGION:
-                fps[region.name] = behavioral_fingerprint(region.text)
-        return fps
+            if region.kind != MODULE_REGION:
+                continue
+            name = region.name
+            if self._region_texts.get(name) == region.text:
+                fingerprints[name] = self._fingerprints[name]
+            else:
+                tokens[name] = tokenize(region.text, region.start_line)
+                fingerprints[name] = behavioral_fingerprint(tokens[name])
+        return regions, fingerprints, tokens
+
+    def _adopt(
+        self,
+        source: str,
+        regions: List[SourceRegion],
+        fingerprints: Dict[str, str],
+    ) -> None:
+        self._source = source
+        self._regions = regions
+        self._fingerprints = fingerprints
+        self._region_texts = {
+            r.name: r.text for r in regions if r.kind == MODULE_REGION
+        }
 
     @staticmethod
     def _directive_signature(regions: List[SourceRegion]) -> List[str]:
@@ -101,7 +135,7 @@ class LiveParser:
         if fp is None:
             # Module was merged into the design without a region (e.g.
             # generated programmatically): hash on demand.
-            return behavioral_fingerprint(module_name)
+            return behavioral_fingerprint(tokenize(module_name))
         region = self.region_of_module(module_name)
         context = [
             r.name
@@ -131,20 +165,16 @@ class LiveParser:
         retried without corrupting the baseline.
         """
         started = time.perf_counter()
-        new_regions = split_regions(new_source)
-        # Fast path: textually identical regions keep their fingerprint
-        # (lexing is only paid for regions that actually changed).
-        new_fps: Dict[str, str] = {}
-        for region in new_regions:
-            if region.kind != MODULE_REGION:
-                continue
-            if self._region_texts.get(region.name) == region.text:
-                new_fps[region.name] = self._fingerprints[region.name]
-            else:
-                new_fps[region.name] = behavioral_fingerprint(region.text)
+        new_regions, new_fps, tokens = self._scan(new_source)
         old_fps = self._fingerprints
 
-        result = LiveParseResult(behavioral=False)
+        result = LiveParseResult(
+            behavioral=False,
+            source=new_source,
+            regions=new_regions,
+            fingerprints=new_fps,
+            tokens=tokens,
+        )
         old_names = set(old_fps)
         new_names = set(new_fps)
         result.added_modules = new_names - old_names
@@ -204,20 +234,17 @@ class LiveParser:
                 return min(candidates) if candidates else 1
         return 1
 
-    def commit(self, new_source: str) -> None:
-        """Accept ``new_source`` as the new baseline."""
-        self._source = new_source
-        new_regions = split_regions(new_source)
-        fingerprints: Dict[str, str] = {}
-        for region in new_regions:
-            if region.kind != MODULE_REGION:
-                continue
-            if self._region_texts.get(region.name) == region.text:
-                fingerprints[region.name] = self._fingerprints[region.name]
-            else:
-                fingerprints[region.name] = behavioral_fingerprint(region.text)
-        self._regions = new_regions
-        self._fingerprints = fingerprints
-        self._region_texts = {
-            r.name: r.text for r in new_regions if r.kind == MODULE_REGION
-        }
+    def commit(
+        self, new_source: str, analysis: Optional[LiveParseResult] = None
+    ) -> None:
+        """Accept ``new_source`` as the new baseline.
+
+        ``analysis`` is :meth:`analyze`'s result for the same text; its
+        regions and fingerprints are adopted as they are, so committing
+        neither splits nor lexes again.
+        """
+        if analysis is not None and analysis.source == new_source:
+            regions, fingerprints = analysis.regions, analysis.fingerprints
+        else:
+            regions, fingerprints, _ = self._scan(new_source)
+        self._adopt(new_source, regions, fingerprints)

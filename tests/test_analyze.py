@@ -700,28 +700,29 @@ class TestCli:
         explained = capsys.readouterr().out
         assert "module input" in explained
 
-    def test_explain_lines_are_pre_opt_at_every_level(
+    def test_explain_lines_are_pre_opt_source_lines(
         self, tmp_path, capsys
     ):
-        # Satellite regression: under --opt full the findings AND the
-        # --explain derivation chains must cite pre-optimization
-        # source lines — byte-identical output across levels.
+        # The findings AND the --explain derivation chains cite
+        # pre-optimization source lines; analysis has no opt level, so
+        # the CLI takes none and the report records none.
         oob = tmp_path / "oob.v"
         oob.write_text(VR_OOB_SRC)
-        outputs = {}
-        for level in ("none", "basic", "full"):
-            assert analyze_main(
-                [str(oob), "--top", "m", "--explain", "--opt", level]
-            ) == 0
-            outputs[level] = capsys.readouterr().out
-        assert outputs["none"] == outputs["basic"] == outputs["full"]
+        out = tmp_path / "report.json"
+        assert analyze_main(
+            [str(oob), "--top", "m", "--explain", "--json", str(out)]
+        ) == 0
+        explained = capsys.readouterr().out
+        assert "opt" not in load_report(str(out))["meta"]
         lines = VR_OOB_SRC.splitlines()
         import re
 
-        chain = re.search(r"idx .*\(line (\d+), assign\)",
-                          outputs["full"])
+        chain = re.search(r"idx .*\(line (\d+), assign\)", explained)
         assert chain is not None
         assert "assign idx" in lines[int(chain.group(1)) - 1]
+        with pytest.raises(SystemExit):
+            analyze_main([str(oob), "--opt", "full"])
+        capsys.readouterr()
 
     def test_bad_design_is_a_toolchain_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.v"

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.hdl.errors import HDLError
+from repro.hdl.errors import HDLError, LexError, ParseError
+from repro.hdl.parser import Parser, parse
+from repro.hdl.source_regions import module_regions
+from repro.live import compiler_live, parser_live
 from repro.live.compiler_live import LiveCompiler
+from repro.live.session import LiveSession
+from repro.riscv.pgas import build_pgas_source
 from tests.conftest import COUNTER_SRC
 
 
@@ -222,3 +227,119 @@ class TestTimingFields:
         compiler = LiveCompiler(COUNTER_SRC)
         assert not compiler.compile_top("top").report.was_incremental
         assert compiler.compile_top("top").report.was_incremental
+
+
+class TestFrontEndWork:
+    """An edit splits the file into regions once and lexes each changed
+    region once; the parse reuses those tokens, never the whole file."""
+
+    def _count(self, patch, edited):
+        session = LiveSession(COUNTER_SRC)
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        calls = {"split_regions": 0, "parse": 0, "parse_design": 0}
+        lexed = []
+        split_regions = parser_live.split_regions
+        tokenize = parser_live.tokenize
+        full_parse = compiler_live.parse
+        parse_design = Parser.parse_design
+
+        def counting_split(source):
+            calls["split_regions"] += 1
+            return split_regions(source)
+
+        def counting_tokenize(text, start_line=1):
+            lexed.append((text, start_line))
+            return tokenize(text, start_line)
+
+        def counting_parse(*args, **kwargs):
+            calls["parse"] += 1
+            return full_parse(*args, **kwargs)
+
+        def counting_parse_design(parser):
+            calls["parse_design"] += 1
+            return parse_design(parser)
+
+        patch.setattr(parser_live, "split_regions", counting_split)
+        patch.setattr(parser_live, "tokenize", counting_tokenize)
+        patch.setattr(compiler_live, "parse", counting_parse)
+        patch.setattr(Parser, "parse_design", counting_parse_design)
+        report = session.apply_change(edited)
+        return report, calls, lexed
+
+    def test_one_module_edit_splits_once_and_lexes_one_region(
+        self, monkeypatch
+    ):
+        edited = COUNTER_SRC.replace("assign sum = a + b;", "assign sum = a - b;")
+        report, calls, lexed = self._count(monkeypatch, edited)
+        assert report.behavioral
+        assert report.recompiled_keys == ["adder#(W=8)"]
+        adder = module_regions(edited)["adder"]
+        assert lexed == [(adder.text, adder.start_line)]
+        assert calls == {"split_regions": 1, "parse": 0, "parse_design": 1}
+
+    def test_comment_only_edit_lexes_but_does_not_parse(self, monkeypatch):
+        edited = COUNTER_SRC.replace(
+            "assign sum = a + b;", "assign sum = a + b; // reviewed"
+        )
+        report, calls, lexed = self._count(monkeypatch, edited)
+        assert not report.behavioral
+        assert len(lexed) == 1
+        assert calls == {"split_regions": 1, "parse": 0, "parse_design": 0}
+
+
+class TestEditErrors:
+    """Errors in an edited module name file lines, as a full parse does."""
+
+    def _edit_rv_ex(self, suffix):
+        source = build_pgas_source(1)
+        lines = source.splitlines()
+        region = module_regions(source)["rv_ex"]
+        assert region.start_line < 289 <= region.end_line
+        lines[288] += suffix
+        return source, "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("suffix,error", [
+        (" @@@ ;", ParseError),
+        (" \\ ;", LexError),
+    ])
+    def test_error_line_matches_full_parse(self, suffix, error):
+        source, edited = self._edit_rv_ex(suffix)
+        with pytest.raises(error) as full:
+            parse(edited)
+        compiler = LiveCompiler(source)
+        design = compiler.design
+        with pytest.raises(error) as live:
+            compiler.update_source(edited)
+        assert (live.value.line, live.value.col) == (
+            full.value.line, full.value.col
+        )
+        assert live.value.line == 289
+        assert str(live.value) == str(full.value)
+        assert compiler.source == source
+        assert compiler.design is design
+
+    def test_non_ascii_digit_is_rejected_and_rolled_back(self):
+        session = LiveSession(COUNTER_SRC)
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        with pytest.raises(LexError, match="unexpected character"):
+            session.apply_change(
+                COUNTER_SRC.replace("assign sum = a + b;", "assign sum = ²;")
+            )
+        assert session.compiler.source == COUNTER_SRC
+        # The session is still live: a good edit goes through.
+        report = session.apply_change(
+            COUNTER_SRC.replace("assign sum = a + b;", "assign sum = a - b;")
+        )
+        assert report.recompiled_keys == ["adder#(W=8)"]
+
+    def test_failed_region_parse_keeps_every_module(self):
+        # Two edited modules, the second broken: the first must not be
+        # swapped into the design on its own.
+        compiler = LiveCompiler(COUNTER_SRC)
+        adder = compiler.design.modules["adder"]
+        edited = COUNTER_SRC.replace(
+            "assign sum = a + b;", "assign sum = a - b;"
+        ).replace("count_q <= next;", "count_q <= ;")
+        with pytest.raises(ParseError):
+            compiler.update_source(edited)
+        assert compiler.design.modules["adder"] is adder
